@@ -99,25 +99,18 @@ import (
 	"curp/internal/cluster"
 	"curp/internal/core"
 	"curp/internal/health"
+	"curp/internal/kv"
 	"curp/internal/shard"
 	"curp/internal/stats"
 	"curp/internal/transport"
 	"curp/internal/workload"
 )
 
-// kvClient is the op surface shared by a single partition's client and the
-// sharded router.
+// kvClient is the command surface shared by a single partition's client
+// and the sharded router.
 type kvClient interface {
-	Put(ctx context.Context, key, value []byte) (uint64, error)
-	Get(ctx context.Context, key []byte) ([]byte, bool, error)
-	Delete(ctx context.Context, key []byte) error
-	Increment(ctx context.Context, key []byte, delta int64) (int64, error)
-	Append(ctx context.Context, key, suffix []byte) (int64, error)
-	PutTTL(ctx context.Context, key, value []byte, expireAt int64) (uint64, error)
-	SetAdd(ctx context.Context, key, member []byte) error
-	SetRemove(ctx context.Context, key, member []byte) error
-	SetMembers(ctx context.Context, key []byte) ([][]byte, error)
-	BucketTake(ctx context.Context, key []byte, n int64) (bool, int64, error)
+	Submit(ctx context.Context, cmd *kv.Command) (*kv.Result, error)
+	Read(ctx context.Context, cmd *kv.Command) (*kv.Result, error)
 	Stats() core.ClientStats
 }
 
@@ -239,67 +232,78 @@ func main() {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
+	// submit and read run one command on its key's client, exiting on
+	// failure.
+	submit := func(cmd *kv.Command) *kv.Result {
+		res, err := forKey(string(cmd.Key)).Submit(ctx, cmd)
+		exitOn(err)
+		return res
+	}
+	read := func(cmd *kv.Command) *kv.Result {
+		res, err := forKey(string(cmd.Key)).Read(ctx, cmd)
+		exitOn(err)
+		return res
+	}
+	counter := func(res *kv.Result) int64 {
+		n, err := cluster.ParseCounter(res)
+		exitOn(err)
+		return n
+	}
 
 	switch args[0] {
 	case "put":
 		need(args, 3)
-		ver, err := forKey(args[1]).Put(ctx, []byte(args[1]), []byte(args[2]))
-		exitOn(err)
-		fmt.Printf("OK version=%d\n", ver)
+		res := submit(&kv.Command{Op: kv.OpPut, Key: []byte(args[1]), Value: []byte(args[2])})
+		fmt.Printf("OK version=%d\n", res.Version)
 	case "get":
 		need(args, 2)
-		v, ok, err := forKey(args[1]).Get(ctx, []byte(args[1]))
-		exitOn(err)
-		if !ok {
+		res := read(&kv.Command{Op: kv.OpGet, Key: []byte(args[1])})
+		if !res.Found {
 			fmt.Println("(nil)")
 			return
 		}
-		fmt.Printf("%s\n", v)
+		fmt.Printf("%s\n", res.Value)
 	case "del":
 		need(args, 2)
-		exitOn(forKey(args[1]).Delete(ctx, []byte(args[1])))
+		submit(&kv.Command{Op: kv.OpDelete, Key: []byte(args[1])})
 		fmt.Println("OK")
 	case "incr":
 		need(args, 3)
 		delta, err := strconv.ParseInt(args[2], 10, 64)
 		exitOn(err)
-		n, err := forKey(args[1]).Increment(ctx, []byte(args[1]), delta)
-		exitOn(err)
-		fmt.Printf("%d\n", n)
+		fmt.Printf("%d\n", counter(submit(&kv.Command{Op: kv.OpIncrement, Key: []byte(args[1]), Delta: delta})))
 	case "append":
 		need(args, 3)
-		n, err := forKey(args[1]).Append(ctx, []byte(args[1]), []byte(args[2]))
-		exitOn(err)
-		fmt.Printf("OK length=%d\n", n)
+		fmt.Printf("OK length=%d\n", counter(submit(&kv.Command{Op: kv.OpAppend, Key: []byte(args[1]), Value: []byte(args[2])})))
 	case "putttl":
 		need(args, 4)
 		ttl, err := time.ParseDuration(args[3])
 		exitOn(err)
-		ver, err := forKey(args[1]).PutTTL(ctx, []byte(args[1]), []byte(args[2]), time.Now().Add(ttl).UnixNano())
-		exitOn(err)
-		fmt.Printf("OK version=%d expires-in=%v\n", ver, ttl)
+		res := submit(&kv.Command{Op: kv.OpPut, Key: []byte(args[1]), Value: []byte(args[2]), ExpireAt: time.Now().Add(ttl).UnixNano()})
+		fmt.Printf("OK version=%d expires-in=%v\n", res.Version, ttl)
 	case "sadd":
 		need(args, 3)
-		exitOn(forKey(args[1]).SetAdd(ctx, []byte(args[1]), []byte(args[2])))
+		submit(&kv.Command{Op: kv.OpSetAdd, Key: []byte(args[1]), Value: []byte(args[2])})
 		fmt.Println("OK")
 	case "srem":
 		need(args, 3)
-		exitOn(forKey(args[1]).SetRemove(ctx, []byte(args[1]), []byte(args[2])))
+		submit(&kv.Command{Op: kv.OpSetRemove, Key: []byte(args[1]), Value: []byte(args[2])})
 		fmt.Println("OK")
 	case "smembers":
 		need(args, 2)
-		members, err := forKey(args[1]).SetMembers(ctx, []byte(args[1]))
-		exitOn(err)
-		for _, m := range members {
+		for _, m := range read(&kv.Command{Op: kv.OpSetMembers, Key: []byte(args[1])}).Values {
 			fmt.Printf("%s\n", m)
 		}
 	case "take":
 		need(args, 3)
 		n, err := strconv.ParseInt(args[2], 10, 64)
 		exitOn(err)
-		granted, remaining, err := forKey(args[1]).BucketTake(ctx, []byte(args[1]), n)
-		exitOn(err)
-		if granted {
+		res := submit(&kv.Command{Op: kv.OpBucketTake, Key: []byte(args[1]), Delta: n})
+		var remaining int64
+		if len(res.Value) > 0 { // empty when crash recovery scrubbed it
+			remaining = counter(res)
+		}
+		if res.Found {
 			fmt.Printf("GRANTED remaining=%d\n", remaining)
 		} else {
 			fmt.Printf("DENIED remaining=%d\n", remaining)
@@ -429,7 +433,7 @@ func runBench(cl kvClient, n int, opTimeout time.Duration) {
 		key := workload.Key(uint64(i), 30)
 		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 		opStart := time.Now()
-		_, err := cl.Put(ctx, key, value)
+		_, err := cl.Submit(ctx, &kv.Command{Op: kv.OpPut, Key: key, Value: value})
 		cancel()
 		exitOn(err)
 		h.Record(time.Since(opStart).Nanoseconds())

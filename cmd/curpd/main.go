@@ -66,9 +66,8 @@
 // distributed traces as JSON (`curpctl trace` stitches them across nodes
 // into one waterfall). -trace-threshold sets the tail-sampling promotion
 // bound on EVERY role's collector — any trace with a span at least that
-// slow is kept — and additionally logs a structured slow-op span to stderr
-// on masters. -pprof mounts the net/http/pprof suite on the same
-// endpoints.
+// slow is kept, with its op, path verdict, and per-stage durations.
+// -pprof mounts the net/http/pprof suite on the same endpoints.
 //
 // Every metrics endpoint further serves GET /events — the node's flight
 // recorder: a bounded journal of control-flow transitions (elections,
@@ -117,7 +116,7 @@ func main() {
 	hbInterval := flag.Duration("heartbeat", health.DefaultInterval, "cluster mode: heartbeat interval (failure declared after 8×)")
 	metricsOn := flag.Bool("metrics", true, "cluster mode: serve GET /metrics (+ /trace) on every node at RPC port + 500")
 	metricsAddr := flag.String("metrics-addr", "", "component modes: serve this node's GET /metrics (+ /trace) on this address")
-	trace := flag.Duration("trace-threshold", 0, "promote any distributed trace containing a span at least this slow (all roles); masters also log a structured slow-op span to stderr (0: only errored/conflict-synced/locked traces are kept)")
+	trace := flag.Duration("trace-threshold", 0, "promote any distributed trace containing a span at least this slow, on every role's /trace (0: only errored/conflict-synced/locked traces are kept)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof on every metrics endpoint")
 	flag.Parse()
 
@@ -159,9 +158,6 @@ func main() {
 		// (curpctl start-witness) or by an all-in-one coordinator.
 		exitOn(ms.SetWitnessList(1, split(*witnesses)))
 		ms.Trace().SetThreshold(*trace)
-		if *trace > 0 {
-			ms.SetSlowOpTracer(metrics.NewTracer(os.Stderr, *trace))
-		}
 		serveMetricsAddr(*metricsAddr, ms.Trace(), obs, map[string]http.Handler{
 			"/events":  ms.Events().Handler(),
 			"/hotkeys": ms.HotKeys().Handler(),
@@ -177,7 +173,7 @@ func main() {
 
 // obsConfig bundles the observability knobs threaded through every server
 // boot path: metrics endpoints on/off, pprof mounting, and the trace
-// promotion threshold (which doubles as the master slow-op log bound).
+// promotion threshold.
 type obsConfig struct {
 	metricsOn bool
 	pprof     bool
@@ -375,11 +371,10 @@ func startPartition(nw transport.Network, shard int, host string, port, coordina
 	masterAddr := fmt.Sprintf("%s:%d", host, port+1)
 	ms, err := cluster.NewMasterServer(nw, 1, masterAddr, 0, opts)
 	exitOn(err)
-	ms.SetShardIndex(shard)
 	ms.Trace().SetThreshold(obs.trace)
-	if obs.trace > 0 {
-		ms.SetSlowOpTracer(metrics.NewTracer(os.Stderr, obs.trace))
-	}
+	ms.Trace().SetShard(shard)
+	ms.Events().SetShard(shard)
+	ms.HotKeys().SetShard(shard)
 	closers = append(closers, ms)
 	exitOn(coord.AddMaster(ms, backupAddrs, witnessAddrs))
 	if obs.metricsOn {

@@ -73,218 +73,37 @@ func (f *Future) Err() error {
 // Version returns the object's version after the write (Put, CondPut). It
 // blocks until the operation completes.
 func (f *Future) Version() (uint64, error) {
-	res, err := f.resolve(context.Background())
-	if err != nil {
-		return 0, err
-	}
-	return res.Version, nil
+	return version(f.resolve(context.Background()))
 }
 
 // Applied reports whether a CondPut's condition held and the write took.
 // It blocks until the operation completes.
 func (f *Future) Applied() (bool, error) {
-	res, err := f.resolve(context.Background())
-	if err != nil {
-		return false, err
-	}
-	return res.Found, nil
+	return found(f.resolve(context.Background()))
 }
 
 // Counter returns the new counter value of an Increment. It blocks until
 // the operation completes.
 func (f *Future) Counter() (int64, error) {
-	res, err := f.resolve(context.Background())
-	if err != nil {
-		return 0, err
-	}
-	return cluster.ParseCounter(res)
+	return counter(f.resolve(context.Background()))
 }
 
 // Values returns the new counter values of a MultiIncrement, aligned with
 // the deltas. It blocks until the operation completes.
 func (f *Future) Values() ([]int64, error) {
-	res, err := f.resolve(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return cluster.ParseCounters(res)
+	return counters(f.resolve(context.Background()))
 }
 
 // Granted reports whether a BucketTake's tokens were available and taken.
 // It blocks until the operation completes.
 func (f *Future) Granted() (bool, error) {
-	res, err := f.resolve(context.Background())
-	if err != nil {
-		return false, err
-	}
-	return res.Found, nil
+	return found(f.resolve(context.Background()))
 }
 
 // Length returns the value's new total length after an Append. It blocks
 // until the operation completes.
 func (f *Future) Length() (int64, error) {
-	res, err := f.resolve(context.Background())
-	if err != nil {
-		return 0, err
-	}
-	return cluster.ParseCounter(res)
-}
-
-// PutAsync writes value under key without blocking; Future.Version holds
-// the object's new version.
-func (c *Client) PutAsync(ctx context.Context, key, value []byte) *Future {
-	return wrapClusterFuture(c.inner.PutAsync(ctx, key, value))
-}
-
-// DeleteAsync removes key without blocking.
-func (c *Client) DeleteAsync(ctx context.Context, key []byte) *Future {
-	return wrapClusterFuture(c.inner.DeleteAsync(ctx, key))
-}
-
-// IncrementAsync adds delta to the counter at key without blocking;
-// Future.Counter holds the new value.
-func (c *Client) IncrementAsync(ctx context.Context, key []byte, delta int64) *Future {
-	return wrapClusterFuture(c.inner.IncrementAsync(ctx, key, delta))
-}
-
-// CondPutAsync writes value only if key is at expectVersion, without
-// blocking; Future.Applied reports whether the write took.
-func (c *Client) CondPutAsync(ctx context.Context, key, value []byte, expectVersion uint64) *Future {
-	return wrapClusterFuture(c.inner.CondPutAsync(ctx, key, value, expectVersion))
-}
-
-// MultiPutAsync writes several objects as one atomic operation, without
-// blocking.
-func (c *Client) MultiPutAsync(ctx context.Context, pairs []KV) *Future {
-	return wrapClusterFuture(c.inner.MultiPutAsync(ctx, toKVs(pairs)))
-}
-
-// MultiIncrementAsync atomically applies every delta, without blocking;
-// Future.Values holds the new counter values.
-func (c *Client) MultiIncrementAsync(ctx context.Context, deltas []IncrPair) *Future {
-	return wrapClusterFuture(c.inner.MultiIncrementAsync(ctx, toIncrPairs(deltas)))
-}
-
-// AppendAsync appends suffix to the value at key without blocking;
-// Future.Length holds the value's new total length.
-func (c *Client) AppendAsync(ctx context.Context, key, suffix []byte) *Future {
-	return wrapClusterFuture(c.inner.AppendAsync(ctx, key, suffix))
-}
-
-// PutTTLAsync writes value under key with an absolute UnixNano expiry,
-// without blocking.
-func (c *Client) PutTTLAsync(ctx context.Context, key, value []byte, expireAt int64) *Future {
-	return wrapClusterFuture(c.inner.PutTTLAsync(ctx, key, value, expireAt))
-}
-
-// SetAddAsync adds member to the set at key without blocking. Concurrent
-// SetAdds commute, so a hot set keeps the 1-RTT fast path.
-func (c *Client) SetAddAsync(ctx context.Context, key, member []byte) *Future {
-	return wrapClusterFuture(c.inner.SetAddAsync(ctx, key, member))
-}
-
-// SetRemoveAsync removes member from the set at key without blocking.
-func (c *Client) SetRemoveAsync(ctx context.Context, key, member []byte) *Future {
-	return wrapClusterFuture(c.inner.SetRemoveAsync(ctx, key, member))
-}
-
-// BucketTakeAsync takes n tokens from the bucket at key without blocking;
-// Future.Granted reports whether they were available.
-func (c *Client) BucketTakeAsync(ctx context.Context, key []byte, n int64) *Future {
-	return wrapClusterFuture(c.inner.BucketTakeAsync(ctx, key, n))
-}
-
-// NewPipeline opens an empty pipeline bound to this client. Queue
-// operations with the update verbs, then Flush once to submit them all as
-// coalesced RPCs.
-func (c *Client) NewPipeline() *Pipeline {
-	return &Pipeline{cp: c.inner.NewPipeline()}
-}
-
-// PutAsync writes value under key on its owning shard without blocking.
-func (c *ShardedClient) PutAsync(ctx context.Context, key, value []byte) *Future {
-	return wrapShardFuture(c.inner.PutAsync(ctx, key, value))
-}
-
-// DeleteAsync removes key on its owning shard without blocking.
-func (c *ShardedClient) DeleteAsync(ctx context.Context, key []byte) *Future {
-	return wrapShardFuture(c.inner.DeleteAsync(ctx, key))
-}
-
-// IncrementAsync adds delta to the counter at key without blocking.
-func (c *ShardedClient) IncrementAsync(ctx context.Context, key []byte, delta int64) *Future {
-	return wrapShardFuture(c.inner.IncrementAsync(ctx, key, delta))
-}
-
-// CondPutAsync writes value only if key is at expectVersion, without
-// blocking.
-func (c *ShardedClient) CondPutAsync(ctx context.Context, key, value []byte, expectVersion uint64) *Future {
-	return wrapShardFuture(c.inner.CondPutAsync(ctx, key, value, expectVersion))
-}
-
-// MultiPutAsync writes the pairs without blocking — atomic per shard, not
-// across shards (see the ShardedClient contract).
-func (c *ShardedClient) MultiPutAsync(ctx context.Context, pairs []KV) *Future {
-	return wrapShardFuture(c.inner.MultiPutAsync(ctx, toKVs(pairs)))
-}
-
-// MultiIncrementAsync applies the deltas without blocking — atomic and
-// exactly-once per shard, independent across shards; Future.Values holds
-// the new counter values.
-func (c *ShardedClient) MultiIncrementAsync(ctx context.Context, deltas []IncrPair) *Future {
-	return wrapShardFuture(c.inner.MultiIncrementAsync(ctx, toIncrPairs(deltas)))
-}
-
-// AppendAsync appends suffix to the value at key without blocking;
-// Future.Length holds the value's new total length.
-func (c *ShardedClient) AppendAsync(ctx context.Context, key, suffix []byte) *Future {
-	return wrapShardFuture(c.inner.AppendAsync(ctx, key, suffix))
-}
-
-// PutTTLAsync writes value under key with an absolute UnixNano expiry,
-// without blocking.
-func (c *ShardedClient) PutTTLAsync(ctx context.Context, key, value []byte, expireAt int64) *Future {
-	return wrapShardFuture(c.inner.PutTTLAsync(ctx, key, value, expireAt))
-}
-
-// SetAddAsync adds member to the set at key without blocking.
-func (c *ShardedClient) SetAddAsync(ctx context.Context, key, member []byte) *Future {
-	return wrapShardFuture(c.inner.SetAddAsync(ctx, key, member))
-}
-
-// SetRemoveAsync removes member from the set at key without blocking.
-func (c *ShardedClient) SetRemoveAsync(ctx context.Context, key, member []byte) *Future {
-	return wrapShardFuture(c.inner.SetRemoveAsync(ctx, key, member))
-}
-
-// BucketTakeAsync takes n tokens from the bucket at key without blocking;
-// Future.Granted reports whether they were available.
-func (c *ShardedClient) BucketTakeAsync(ctx context.Context, key []byte, n int64) *Future {
-	return wrapShardFuture(c.inner.BucketTakeAsync(ctx, key, n))
-}
-
-// NewPipeline opens an empty pipeline bound to this client. Operations
-// are grouped by owning shard at flush time and every shard's group is
-// submitted as one coalesced batch; sub-operations bounced by a live
-// Rebalance re-route automatically.
-func (c *ShardedClient) NewPipeline() *Pipeline {
-	return &Pipeline{sp: c.inner.NewPipeline()}
-}
-
-func toKVs(pairs []KV) []kv.KV {
-	kvs := make([]kv.KV, len(pairs))
-	for i, p := range pairs {
-		kvs[i] = kv.KV{Key: p.Key, Value: p.Value}
-	}
-	return kvs
-}
-
-func toIncrPairs(deltas []IncrPair) []kv.IncrPair {
-	ps := make([]kv.IncrPair, len(deltas))
-	for i, d := range deltas {
-		ps[i] = kv.IncrPair{Key: d.Key, Delta: d.Delta}
-	}
-	return ps
+	return counter(f.resolve(context.Background()))
 }
 
 // Pipeline queues update operations and flushes them as coalesced RPCs:
@@ -313,6 +132,14 @@ type Pipeline struct {
 	sp *shard.Pipeline
 }
 
+// queue appends one command to whichever pipeline p wraps.
+func (p *Pipeline) queue(cmd *kv.Command) *Future {
+	if p.cp != nil {
+		return wrapClusterFuture(p.cp.Queue(cmd))
+	}
+	return wrapShardFuture(p.sp.Queue(cmd))
+}
+
 // Len reports how many operations are queued and unflushed.
 func (p *Pipeline) Len() int {
 	if p.cp != nil {
@@ -324,98 +151,65 @@ func (p *Pipeline) Len() int {
 // Put queues a write of value under key; the future's Version holds the
 // object's new version.
 func (p *Pipeline) Put(key, value []byte) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.Put(key, value))
-	}
-	return wrapShardFuture(p.sp.Put(key, value))
+	return p.queue(&kv.Command{Op: kv.OpPut, Key: key, Value: value})
 }
 
 // Delete queues a removal of key.
 func (p *Pipeline) Delete(key []byte) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.Delete(key))
-	}
-	return wrapShardFuture(p.sp.Delete(key))
+	return p.queue(&kv.Command{Op: kv.OpDelete, Key: key})
 }
 
 // Increment queues adding delta to the counter at key; the future's
 // Counter holds the new value.
 func (p *Pipeline) Increment(key []byte, delta int64) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.Increment(key, delta))
-	}
-	return wrapShardFuture(p.sp.Increment(key, delta))
+	return p.queue(&kv.Command{Op: kv.OpIncrement, Key: key, Delta: delta})
 }
 
 // CondPut queues a conditional write of value at expectVersion; the
 // future's Applied reports whether the write took.
 func (p *Pipeline) CondPut(key, value []byte, expectVersion uint64) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.CondPut(key, value, expectVersion))
-	}
-	return wrapShardFuture(p.sp.CondPut(key, value, expectVersion))
+	return p.queue(&kv.Command{Op: kv.OpCondPut, Key: key, Value: value, ExpectVersion: expectVersion})
 }
 
 // Append queues appending suffix to the value at key; the future's Length
 // holds the value's new total length.
 func (p *Pipeline) Append(key, suffix []byte) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.Append(key, suffix))
-	}
-	return wrapShardFuture(p.sp.Append(key, suffix))
+	return p.queue(&kv.Command{Op: kv.OpAppend, Key: key, Value: suffix})
 }
 
 // PutTTL queues a write of value under key with an absolute UnixNano
 // expiry.
 func (p *Pipeline) PutTTL(key, value []byte, expireAt int64) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.PutTTL(key, value, expireAt))
-	}
-	return wrapShardFuture(p.sp.PutTTL(key, value, expireAt))
+	return p.queue(&kv.Command{Op: kv.OpPut, Key: key, Value: value, ExpireAt: expireAt})
 }
 
 // SetAdd queues adding member to the set at key.
 func (p *Pipeline) SetAdd(key, member []byte) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.SetAdd(key, member))
-	}
-	return wrapShardFuture(p.sp.SetAdd(key, member))
+	return p.queue(&kv.Command{Op: kv.OpSetAdd, Key: key, Value: member})
 }
 
 // SetRemove queues removing member from the set at key.
 func (p *Pipeline) SetRemove(key, member []byte) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.SetRemove(key, member))
-	}
-	return wrapShardFuture(p.sp.SetRemove(key, member))
+	return p.queue(&kv.Command{Op: kv.OpSetRemove, Key: key, Value: member})
 }
 
 // BucketTake queues taking n tokens from the bucket at key; the future's
 // Granted reports whether they were available.
 func (p *Pipeline) BucketTake(key []byte, n int64) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.BucketTake(key, n))
-	}
-	return wrapShardFuture(p.sp.BucketTake(key, n))
+	return p.queue(&kv.Command{Op: kv.OpBucketTake, Key: key, Delta: n})
 }
 
 // MultiPut queues an atomic multi-object write (atomic per shard on a
 // ShardedClient).
 func (p *Pipeline) MultiPut(pairs []KV) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.MultiPut(toKVs(pairs)))
-	}
-	return wrapShardFuture(p.sp.MultiPut(toKVs(pairs)))
+	return p.queue(multiPut(pairs))
 }
 
 // MultiIncrement queues an atomic multi-counter increment (atomic per
 // shard on a ShardedClient); the future's Values holds the new counter
 // values.
 func (p *Pipeline) MultiIncrement(deltas []IncrPair) *Future {
-	if p.cp != nil {
-		return wrapClusterFuture(p.cp.MultiIncrement(toIncrPairs(deltas)))
-	}
-	return wrapShardFuture(p.sp.MultiIncrement(toIncrPairs(deltas)))
+	return p.queue(multiIncr(deltas))
 }
 
 // Flush submits every queued operation as coalesced batches and blocks

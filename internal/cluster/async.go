@@ -15,9 +15,8 @@ import (
 // It resolves to the operation's kv.Result once the operation is durable
 // (or has exhausted its retries).
 type Future struct {
-	ready chan struct{} // closed once src (or err) is set
-	src   *core.Future  // the in-flight operation; nil for local failures
-	err   error         // local failure when src is nil
+	ready chan struct{} // closed once src is set
+	src   *core.Future  // the in-flight operation
 
 	mu     sync.Mutex
 	cached *kv.Result
@@ -42,12 +41,6 @@ func (f *Future) bind(src *core.Future) {
 	close(f.ready)
 }
 
-// failLocal resolves a pending future without a submission.
-func (f *Future) failLocal(err error) {
-	f.err = err
-	close(f.ready)
-}
-
 // Wait blocks until the operation completes and returns its result. The
 // operation is durable (f-fault tolerant) exactly when the returned error
 // is nil. If ctx ends first Wait returns ctx's error, but the operation
@@ -57,9 +50,6 @@ func (f *Future) Wait(ctx context.Context) (*kv.Result, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-f.ready:
-	}
-	if f.src == nil {
-		return nil, f.err
 	}
 	out, err := f.src.Wait(ctx)
 	if err != nil {
@@ -82,9 +72,8 @@ func (f *Future) Wait(ctx context.Context) (*kv.Result, error) {
 	return f.cached, f.cerr
 }
 
-// SubmitAsync issues one kv command asynchronously. Most callers use the
-// typed verbs (PutAsync etc.); this is the generic entry point the verbs
-// and the Pipeline share.
+// SubmitAsync issues one kv update command without blocking; the future
+// resolves once the command is durable.
 func (c *Client) SubmitAsync(ctx context.Context, cmd *kv.Command) *Future {
 	return futureOf(c.curp.UpdateAsync(ctx, cmd.KeyHashes(), cmd.Encode(), cmd.Class()))
 }
@@ -104,81 +93,6 @@ func (c *Client) SubmitBatch(ctx context.Context, cmds []*kv.Command) []*Future 
 		futs[i] = futureOf(src)
 	}
 	return futs
-}
-
-// PutAsync writes value under key without blocking; the future's result
-// carries the object's new version.
-func (c *Client) PutAsync(ctx context.Context, key, value []byte) *Future {
-	return c.SubmitAsync(ctx, &kv.Command{Op: kv.OpPut, Key: key, Value: value})
-}
-
-// DeleteAsync removes key without blocking.
-func (c *Client) DeleteAsync(ctx context.Context, key []byte) *Future {
-	return c.SubmitAsync(ctx, &kv.Command{Op: kv.OpDelete, Key: key})
-}
-
-// IncrementAsync adds delta to the counter at key without blocking; the
-// future's result value holds the new counter value in decimal.
-func (c *Client) IncrementAsync(ctx context.Context, key []byte, delta int64) *Future {
-	return c.SubmitAsync(ctx, &kv.Command{Op: kv.OpIncrement, Key: key, Delta: delta})
-}
-
-// CondPutAsync writes value only if key is at expectVersion, without
-// blocking; the future's result reports Found=applied and the object's
-// version.
-func (c *Client) CondPutAsync(ctx context.Context, key, value []byte, expectVersion uint64) *Future {
-	return c.SubmitAsync(ctx, &kv.Command{Op: kv.OpCondPut, Key: key, Value: value, ExpectVersion: expectVersion})
-}
-
-// MultiPutAsync writes several objects as one atomic command, without
-// blocking.
-func (c *Client) MultiPutAsync(ctx context.Context, pairs []kv.KV) *Future {
-	return c.SubmitAsync(ctx, &kv.Command{Op: kv.OpMultiPut, Pairs: pairs})
-}
-
-// MultiIncrementAsync atomically applies every delta, without blocking;
-// the future's result Values hold the new counter values in decimal,
-// aligned with deltas.
-func (c *Client) MultiIncrementAsync(ctx context.Context, deltas []kv.IncrPair) *Future {
-	return c.SubmitAsync(ctx, multiIncrCommand(deltas))
-}
-
-// AppendAsync appends suffix to the value at key without blocking; the
-// future's result value holds the new total length in decimal.
-func (c *Client) AppendAsync(ctx context.Context, key, suffix []byte) *Future {
-	return c.SubmitAsync(ctx, &kv.Command{Op: kv.OpAppend, Key: key, Value: suffix})
-}
-
-// PutTTLAsync writes value under key with an absolute UnixNano expiry,
-// without blocking.
-func (c *Client) PutTTLAsync(ctx context.Context, key, value []byte, expireAt int64) *Future {
-	return c.SubmitAsync(ctx, &kv.Command{Op: kv.OpPut, Key: key, Value: value, ExpireAt: expireAt})
-}
-
-// SetAddAsync adds member to the set at key without blocking.
-func (c *Client) SetAddAsync(ctx context.Context, key, member []byte) *Future {
-	return c.SubmitAsync(ctx, &kv.Command{Op: kv.OpSetAdd, Key: key, Value: member})
-}
-
-// SetRemoveAsync removes member from the set at key without blocking.
-func (c *Client) SetRemoveAsync(ctx context.Context, key, member []byte) *Future {
-	return c.SubmitAsync(ctx, &kv.Command{Op: kv.OpSetRemove, Key: key, Value: member})
-}
-
-// BucketTakeAsync takes n tokens from the bucket at key without blocking;
-// the future's result reports Found=granted and the remaining balance in
-// decimal.
-func (c *Client) BucketTakeAsync(ctx context.Context, key []byte, n int64) *Future {
-	return c.SubmitAsync(ctx, &kv.Command{Op: kv.OpBucketTake, Key: key, Delta: n})
-}
-
-// multiIncrCommand builds the OpMultiIncr command for deltas.
-func multiIncrCommand(deltas []kv.IncrPair) *kv.Command {
-	cmd := &kv.Command{Op: kv.OpMultiIncr}
-	for _, d := range deltas {
-		cmd.Pairs = append(cmd.Pairs, kv.KV{Key: d.Key, Value: []byte(strconv.FormatInt(d.Delta, 10))})
-	}
-	return cmd
 }
 
 // ErrCounterUnavailable marks a commutative command's numeric result that
@@ -231,7 +145,8 @@ func (c *Client) NewPipeline() *Pipeline { return &Pipeline{c: c} }
 // Len reports how many operations are queued and unflushed.
 func (p *Pipeline) Len() int { return len(p.cmds) }
 
-func (p *Pipeline) enqueue(cmd *kv.Command) *Future {
+// Queue appends one kv update command to the pipeline.
+func (p *Pipeline) Queue(cmd *kv.Command) *Future {
 	f := newPendingFuture()
 	p.cmds = append(p.cmds, cmd)
 	p.futs = append(p.futs, f)
@@ -240,58 +155,12 @@ func (p *Pipeline) enqueue(cmd *kv.Command) *Future {
 
 // Put queues a write of value under key.
 func (p *Pipeline) Put(key, value []byte) *Future {
-	return p.enqueue(&kv.Command{Op: kv.OpPut, Key: key, Value: value})
-}
-
-// Delete queues a removal of key.
-func (p *Pipeline) Delete(key []byte) *Future {
-	return p.enqueue(&kv.Command{Op: kv.OpDelete, Key: key})
+	return p.Queue(&kv.Command{Op: kv.OpPut, Key: key, Value: value})
 }
 
 // Increment queues adding delta to the counter at key.
 func (p *Pipeline) Increment(key []byte, delta int64) *Future {
-	return p.enqueue(&kv.Command{Op: kv.OpIncrement, Key: key, Delta: delta})
-}
-
-// CondPut queues a conditional write of value at expectVersion.
-func (p *Pipeline) CondPut(key, value []byte, expectVersion uint64) *Future {
-	return p.enqueue(&kv.Command{Op: kv.OpCondPut, Key: key, Value: value, ExpectVersion: expectVersion})
-}
-
-// MultiPut queues an atomic multi-object write.
-func (p *Pipeline) MultiPut(pairs []kv.KV) *Future {
-	return p.enqueue(&kv.Command{Op: kv.OpMultiPut, Pairs: pairs})
-}
-
-// MultiIncrement queues an atomic multi-counter increment.
-func (p *Pipeline) MultiIncrement(deltas []kv.IncrPair) *Future {
-	return p.enqueue(multiIncrCommand(deltas))
-}
-
-// Append queues appending suffix to the value at key.
-func (p *Pipeline) Append(key, suffix []byte) *Future {
-	return p.enqueue(&kv.Command{Op: kv.OpAppend, Key: key, Value: suffix})
-}
-
-// PutTTL queues a write of value under key with an absolute UnixNano
-// expiry.
-func (p *Pipeline) PutTTL(key, value []byte, expireAt int64) *Future {
-	return p.enqueue(&kv.Command{Op: kv.OpPut, Key: key, Value: value, ExpireAt: expireAt})
-}
-
-// SetAdd queues adding member to the set at key.
-func (p *Pipeline) SetAdd(key, member []byte) *Future {
-	return p.enqueue(&kv.Command{Op: kv.OpSetAdd, Key: key, Value: member})
-}
-
-// SetRemove queues removing member from the set at key.
-func (p *Pipeline) SetRemove(key, member []byte) *Future {
-	return p.enqueue(&kv.Command{Op: kv.OpSetRemove, Key: key, Value: member})
-}
-
-// BucketTake queues taking n tokens from the bucket at key.
-func (p *Pipeline) BucketTake(key []byte, n int64) *Future {
-	return p.enqueue(&kv.Command{Op: kv.OpBucketTake, Key: key, Delta: n})
+	return p.Queue(&kv.Command{Op: kv.OpIncrement, Key: key, Delta: delta})
 }
 
 // Flush submits every queued operation as one coalesced batch and blocks

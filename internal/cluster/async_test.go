@@ -95,7 +95,7 @@ func TestPipelineSameKeyOrder(t *testing.T) {
 	}
 }
 
-// TestPipelineMixedVerbs: every update verb works inside one flush,
+// TestPipelineMixedVerbs: every update op works inside one flush,
 // including the multi-key commands, with typed results.
 func TestPipelineMixedVerbs(t *testing.T) {
 	_, cl := startAsyncCluster(t, 2)
@@ -103,10 +103,10 @@ func TestPipelineMixedVerbs(t *testing.T) {
 
 	p := cl.NewPipeline()
 	put := p.Put([]byte("a"), []byte("1"))
-	cond := p.CondPut([]byte("b"), []byte("x"), 0)
-	del := p.Delete([]byte("nope"))
-	mp := p.MultiPut([]kv.KV{{Key: []byte("m1"), Value: []byte("u")}, {Key: []byte("m2"), Value: []byte("w")}})
-	mi := p.MultiIncrement([]kv.IncrPair{{Key: []byte("c1"), Delta: 2}, {Key: []byte("c2"), Delta: 3}})
+	cond := p.Queue(&kv.Command{Op: kv.OpCondPut, Key: []byte("b"), Value: []byte("x")})
+	del := p.Queue(&kv.Command{Op: kv.OpDelete, Key: []byte("nope")})
+	mp := p.Queue(&kv.Command{Op: kv.OpMultiPut, Pairs: []kv.KV{{Key: []byte("m1"), Value: []byte("u")}, {Key: []byte("m2"), Value: []byte("w")}}})
+	mi := p.Queue(&kv.Command{Op: kv.OpMultiIncr, Pairs: []kv.KV{{Key: []byte("c1"), Value: []byte("2")}, {Key: []byte("c2"), Value: []byte("3")}}})
 	if err := p.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestPipelineMixedVerbs(t *testing.T) {
 	}
 }
 
-// TestAsyncVerbsOverWire: the Future-returning verbs complete out of
+// TestAsyncVerbsOverWire: async submissions complete out of
 // submission order without blocking each other, exactly-once.
 func TestAsyncVerbsOverWire(t *testing.T) {
 	_, cl := startAsyncCluster(t, 2)
@@ -144,9 +144,9 @@ func TestAsyncVerbsOverWire(t *testing.T) {
 
 	var futs []*Future
 	for i := 0; i < 32; i++ {
-		futs = append(futs, cl.PutAsync(ctx, []byte(fmt.Sprintf("ak%d", i)), []byte("v")))
+		futs = append(futs, cl.SubmitAsync(ctx, &kv.Command{Op: kv.OpPut, Key: []byte(fmt.Sprintf("ak%d", i)), Value: []byte("v")}))
 	}
-	inc := cl.IncrementAsync(ctx, []byte("actr"), 1)
+	inc := cl.SubmitAsync(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte("actr"), Delta: 1})
 	for i, f := range futs {
 		if _, err := f.Wait(ctx); err != nil {
 			t.Fatalf("put %d: %v", i, err)

@@ -40,6 +40,15 @@ func testClient(t *testing.T, c *Cluster, name string) *Client {
 	return cl
 }
 
+// incr submits an Increment and returns the counter's new value.
+func incr(ctx context.Context, cl *Client, key string, delta int64) (int64, error) {
+	res, err := cl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte(key), Delta: delta})
+	if err != nil {
+		return 0, err
+	}
+	return ParseCounter(res)
+}
+
 func TestBasicPutGet(t *testing.T) {
 	c, _ := startTestCluster(t, testOptions())
 	cl := testClient(t, c, "client1")
@@ -254,7 +263,7 @@ func TestRecoveryDoesNotDuplicateExecutions(t *testing.T) {
 	// increments (same-key increments conflict and force syncs anyway).
 	want := int64(0)
 	for i := 0; i < 10; i++ {
-		if _, err := cl.Increment(ctx, []byte("counter"), 1); err != nil {
+		if _, err := cl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte("counter"), Delta: 1}); err != nil {
 			t.Fatal(err)
 		}
 		want++
@@ -285,7 +294,7 @@ func TestRetryAfterCrashIsFilteredByRIFL(t *testing.T) {
 	cl := testClient(t, c, "client1")
 	ctx := context.Background()
 
-	if _, err := cl.Increment(ctx, []byte("ctr"), 5); err != nil {
+	if _, err := cl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte("ctr"), Delta: 5}); err != nil {
 		t.Fatal(err)
 	}
 	c.CrashMaster()
@@ -293,7 +302,7 @@ func TestRetryAfterCrashIsFilteredByRIFL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Retried increment with a NEW id executes once on the new master.
-	if _, err := cl.Increment(ctx, []byte("ctr"), 1); err != nil {
+	if _, err := cl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte("ctr"), Delta: 1}); err != nil {
 		t.Fatal(err)
 	}
 	v, _, _ := testClient(t, c, "c2").Get(ctx, []byte("ctr"))
@@ -406,9 +415,9 @@ func TestConsistentBackupReads(t *testing.T) {
 	}
 
 	// "s" is synced and commutes with the witness contents → backup read.
-	v, ok, err := cl.GetNearby(ctx, []byte("s"))
-	if err != nil || !ok || string(v) != "synced-val" {
-		t.Fatalf("backup read: %v %v %q", err, ok, v)
+	res, err := cl.ReadNearby(ctx, &kv.Command{Op: kv.OpGet, Key: []byte("s")})
+	if err != nil || !res.Found || string(res.Value) != "synced-val" {
+		t.Fatalf("backup read: %v %+v", err, res)
 	}
 	st := cl.Stats()
 	if st.BackupReads != 1 {
@@ -416,9 +425,9 @@ func TestConsistentBackupReads(t *testing.T) {
 	}
 	// "u" has a witness record → must fall back to the master and still
 	// return the completed (unsynced) value, never the stale backup state.
-	v, ok, err = cl.GetNearby(ctx, []byte("u"))
-	if err != nil || !ok || string(v) != "unsynced-val" {
-		t.Fatalf("fallback read: %v %v %q", err, ok, v)
+	res, err = cl.ReadNearby(ctx, &kv.Command{Op: kv.OpGet, Key: []byte("u")})
+	if err != nil || !res.Found || string(res.Value) != "unsynced-val" {
+		t.Fatalf("fallback read: %v %+v", err, res)
 	}
 	st = cl.Stats()
 	if st.BackupReads != 1 || st.MasterReads != 1 {
@@ -505,7 +514,7 @@ func TestConcurrentClientsLinearizableCounters(t *testing.T) {
 			cl := testClient(t, c, fmt.Sprintf("client-%d", g))
 			for i := 0; i < incsPerClient; i++ {
 				key := []byte(fmt.Sprintf("ctr-%d", i%4))
-				if _, err := cl.Increment(ctx, key, 1); err != nil {
+				if _, err := cl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: key, Delta: 1}); err != nil {
 					errCh <- fmt.Errorf("client %d: %w", g, err)
 					return
 				}
@@ -558,7 +567,7 @@ func TestCrashDuringConcurrentLoad(t *testing.T) {
 				}
 				cctx, cancel := context.WithTimeout(ctx, 3*time.Second)
 				attempted[g]++
-				_, err := cl.Increment(cctx, []byte(fmt.Sprintf("cnt-%d", g)), 1)
+				_, err := cl.Submit(cctx, &kv.Command{Op: kv.OpIncrement, Key: []byte(fmt.Sprintf("cnt-%d", g)), Delta: 1})
 				cancel()
 				if err == nil {
 					acked[g]++
@@ -603,18 +612,18 @@ func TestMultiPutCommutativity(t *testing.T) {
 	c, _ := startTestCluster(t, testOptions())
 	cl := testClient(t, c, "client1")
 	ctx := context.Background()
-	err := cl.MultiPut(ctx, []kv.KV{
+	_, err := cl.Submit(ctx, &kv.Command{Op: kv.OpMultiPut, Pairs: []kv.KV{
 		{Key: []byte("tx-a"), Value: []byte("1")},
 		{Key: []byte("tx-b"), Value: []byte("2")},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Overlapping multi-put conflicts (same key b) → synced reply.
-	err = cl.MultiPut(ctx, []kv.KV{
+	_, err = cl.Submit(ctx, &kv.Command{Op: kv.OpMultiPut, Pairs: []kv.KV{
 		{Key: []byte("tx-b"), Value: []byte("3")},
 		{Key: []byte("tx-c"), Value: []byte("4")},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,17 +640,17 @@ func TestCondPutThroughCluster(t *testing.T) {
 	c, _ := startTestCluster(t, testOptions())
 	cl := testClient(t, c, "client1")
 	ctx := context.Background()
-	applied, ver, err := cl.CondPut(ctx, []byte("cas"), []byte("v1"), 0)
-	if err != nil || !applied || ver != 1 {
-		t.Fatalf("condput create: %v %v %d", err, applied, ver)
+	res, err := cl.Submit(ctx, &kv.Command{Op: kv.OpCondPut, Key: []byte("cas"), Value: []byte("v1")})
+	if err != nil || !res.Found || res.Version != 1 {
+		t.Fatalf("condput create: %v %+v", err, res)
 	}
-	applied, ver, err = cl.CondPut(ctx, []byte("cas"), []byte("v2"), 0)
-	if err != nil || applied || ver != 1 {
-		t.Fatalf("condput stale: %v %v %d", err, applied, ver)
+	res, err = cl.Submit(ctx, &kv.Command{Op: kv.OpCondPut, Key: []byte("cas"), Value: []byte("v2")})
+	if err != nil || res.Found || res.Version != 1 {
+		t.Fatalf("condput stale: %v %+v", err, res)
 	}
-	applied, ver, err = cl.CondPut(ctx, []byte("cas"), []byte("v2"), 1)
-	if err != nil || !applied || ver != 2 {
-		t.Fatalf("condput ok: %v %v %d", err, applied, ver)
+	res, err = cl.Submit(ctx, &kv.Command{Op: kv.OpCondPut, Key: []byte("cas"), Value: []byte("v2"), ExpectVersion: 1})
+	if err != nil || !res.Found || res.Version != 2 {
+		t.Fatalf("condput ok: %v %+v", err, res)
 	}
 }
 
@@ -652,7 +661,7 @@ func TestDeleteThroughCluster(t *testing.T) {
 	if _, err := cl.Put(ctx, []byte("d"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Delete(ctx, []byte("d")); err != nil {
+	if _, err := cl.Submit(ctx, &kv.Command{Op: kv.OpDelete, Key: []byte("d")}); err != nil {
 		t.Fatal(err)
 	}
 	_, ok, err := cl.Get(ctx, []byte("d"))

@@ -169,10 +169,10 @@ func TestControlPlaneLinearizable(t *testing.T) {
 		for i := 0; i < 15; i++ {
 			time.Sleep(4 * time.Millisecond)
 			cctx, ccancel := context.WithTimeout(ctx, 5*time.Second)
-			_, err := cl.MultiIncrement(cctx, []kv.IncrPair{
-				{Key: []byte("cp-ctr-a"), Delta: 1},
-				{Key: []byte("cp-ctr-b"), Delta: 1},
-			})
+			_, err := cl.Submit(cctx, &kv.Command{Op: kv.OpMultiIncr, Pairs: []kv.KV{
+				{Key: []byte("cp-ctr-a"), Value: []byte("1")},
+				{Key: []byte("cp-ctr-b"), Value: []byte("1")},
+			}})
 			ccancel()
 			mu.Lock()
 			incrAttempts++
@@ -267,11 +267,11 @@ func TestControlPlaneLinearizable(t *testing.T) {
 	// Exactly-once counters: completed MultiIncrements all landed; calls
 	// that errored mid-crash may or may not have (their retries stopped),
 	// so the total is bracketed — and the two counters moved in lockstep.
-	a, err := cl.Increment(ctx, []byte("cp-ctr-a"), 0)
+	a, err := incr(ctx, cl, "cp-ctr-a", 0)
 	if err != nil {
 		t.Fatalf("read counter a: %v", err)
 	}
-	b, err := cl.Increment(ctx, []byte("cp-ctr-b"), 0)
+	b, err := incr(ctx, cl, "cp-ctr-b", 0)
 	if err != nil {
 		t.Fatalf("read counter b: %v", err)
 	}

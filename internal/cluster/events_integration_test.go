@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -114,17 +115,18 @@ func TestFailoverEventTimeline(t *testing.T) {
 
 	// The view flip is mirrored into every replica's journal (leader and
 	// followers alike), so `curpctl events` shows the epoch bump no matter
-	// which endpoints survive.
+	// which endpoints survive. A follower mirrors the committed view change
+	// only once a later replicate round delivers the commit index, so each
+	// replica gets a bounded deadline, the way WaitHealthy waits for heals.
 	for i, co := range c.CoordReplicas {
-		flips := 0
-		for _, ev := range co.Events().Dump().Events {
-			if ev.Kind == events.KindEpochFlip {
-				flips++
+		waitFor(t, 5*time.Second, func() bool {
+			for _, ev := range co.Events().Dump().Events {
+				if ev.Kind == events.KindEpochFlip {
+					return true
+				}
 			}
-		}
-		if flips == 0 {
-			t.Errorf("coordinator replica %d mirrored no epoch-flip event", i)
-		}
+			return false
+		}, fmt.Sprintf("coordinator replica %d to mirror an epoch-flip event", i))
 	}
 }
 

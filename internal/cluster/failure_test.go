@@ -179,7 +179,7 @@ func TestOrphanedWitnessRecordGC(t *testing.T) {
 	}, "orphan collection")
 }
 
-// TestStaleReadsServeDurableValues exercises the §A.3 mitigation: GetStale
+// TestStaleReadsServeDurableValues exercises the §A.3 mitigation: ReadStale
 // returns the last durable value immediately — never blocking on a sync —
 // while Get stays linearizable.
 func TestStaleReadsServeDurableValues(t *testing.T) {
@@ -208,9 +208,9 @@ func TestStaleReadsServeDurableValues(t *testing.T) {
 	syncsBefore := c.Master.State().Stats().ReadBlocks
 
 	// Stale read: the durable value v1, without forcing a sync.
-	v, ok, err := cl.GetStale(ctx, []byte("k"))
-	if err != nil || !ok || string(v) != "v1" {
-		t.Fatalf("stale read: %v %v %q, want v1", err, ok, v)
+	res, err := cl.ReadStale(ctx, &kv.Command{Op: kv.OpGet, Key: []byte("k")})
+	if err != nil || !res.Found || string(res.Value) != "v1" {
+		t.Fatalf("stale read: %v %+v, want v1", err, res)
 	}
 	if c.Backups[0].SyncedLSN(1) != 2 {
 		t.Fatal("stale read must not force a sync")
@@ -222,24 +222,24 @@ func TestStaleReadsServeDurableValues(t *testing.T) {
 	if _, err := cl.Put(ctx, []byte("fresh"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	_, ok, err = cl.GetStale(ctx, []byte("fresh"))
-	if err != nil || ok {
-		t.Fatalf("fresh key durable view: %v %v, want not-found", err, ok)
+	res, err = cl.ReadStale(ctx, &kv.Command{Op: kv.OpGet, Key: []byte("fresh")})
+	if err != nil || res.Found {
+		t.Fatalf("fresh key durable view: %v %+v, want not-found", err, res)
 	}
 	// Linearizable Get still returns v2 (forcing the sync)...
-	v, _, err = cl.Get(ctx, []byte("k"))
+	v, _, err := cl.Get(ctx, []byte("k"))
 	if err != nil || string(v) != "v2" {
 		t.Fatalf("linearizable read: %v %q", err, v)
 	}
 	// ...after which the stale view converges to v2.
-	v, ok, err = cl.GetStale(ctx, []byte("k"))
-	if err != nil || !ok || string(v) != "v2" {
-		t.Fatalf("stale read after sync: %v %v %q", err, ok, v)
+	res, err = cl.ReadStale(ctx, &kv.Command{Op: kv.OpGet, Key: []byte("k")})
+	if err != nil || !res.Found || string(res.Value) != "v2" {
+		t.Fatalf("stale read after sync: %v %+v", err, res)
 	}
 	// And a missing key reads as missing.
-	_, ok, err = cl.GetStale(ctx, []byte("never"))
-	if err != nil || ok {
-		t.Fatalf("missing key: %v %v", err, ok)
+	res, err = cl.ReadStale(ctx, &kv.Command{Op: kv.OpGet, Key: []byte("never")})
+	if err != nil || res.Found {
+		t.Fatalf("missing key: %v %+v", err, res)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"curp/internal/kv"
 )
 
 // TestHotKeyIncrementWorkloadSkipsPreemptiveSync is the regression test
@@ -21,7 +23,7 @@ func TestHotKeyIncrementWorkloadSkipsPreemptiveSync(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 100; i++ {
-		if _, err := cl.Increment(ctx, []byte("hot-counter"), 1); err != nil {
+		if _, err := cl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte("hot-counter"), Delta: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

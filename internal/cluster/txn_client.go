@@ -18,18 +18,6 @@ import (
 // the normal async update engine under a caller-minted RIFL ID, getting
 // CURP's witness-backed durability and exactly-once anchoring.
 
-// GetVersioned reads key at the master and returns the full result,
-// including the object's version — the read-set entry a transaction
-// revalidates at commit.
-func (c *Client) GetVersioned(ctx context.Context, key []byte) (*kv.Result, error) {
-	cmd := &kv.Command{Op: kv.OpGet, Key: key}
-	out, err := c.curp.Read(ctx, cmd.KeyHashes(), cmd.Encode())
-	if err != nil {
-		return nil, err
-	}
-	return kv.DecodeResult(out)
-}
-
 // TxnHomeInfo returns the partition's home-shard coordinates (master ID and
 // address); the transaction layer fills in the home key's hash.
 func (c *Client) TxnHomeInfo(ctx context.Context) (kv.TxnHome, error) {
@@ -203,7 +191,7 @@ func (b singleTxnBackend) ShardOf([]byte) int { return 0 }
 func (b singleTxnBackend) Refresh() bool      { return false }
 
 func (b singleTxnBackend) GetVersioned(ctx context.Context, key []byte) (*kv.Result, error) {
-	return b.c.GetVersioned(ctx, key)
+	return b.c.Read(ctx, &kv.Command{Op: kv.OpGet, Key: key})
 }
 
 func (b singleTxnBackend) Apply(ctx context.Context, _ int, t *kv.TxnCommand) (*kv.Result, error) {

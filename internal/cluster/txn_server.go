@@ -60,7 +60,7 @@ func (ms *MasterServer) handleTxnPrepare(ctx context.Context, payload []byte) ([
 	ms.mTxnPrepares.Inc()
 	start := time.Now()
 	out, err := ms.handleTxnPhase(ctx, payload, kv.OpTxnPrepare)
-	ms.observeOp(ctx, ms.mLatPrepare, "txn_prepare", nil, txnPhaseVerdict(out, err), "", start)
+	ms.observeOp(ctx, ms.mLatPrepare, "txn_prepare", txnPhaseVerdict(out, err), "", start)
 	return out, err
 }
 
@@ -71,11 +71,11 @@ func (ms *MasterServer) handleTxnDecide(ctx context.Context, payload []byte) ([]
 	ms.mTxnDecides.Inc()
 	start := time.Now()
 	out, err := ms.handleTxnPhase(ctx, payload, kv.OpTxnDecide)
-	ms.observeOp(ctx, ms.mLatDecide, "txn_decide", nil, txnPhaseVerdict(out, err), "", start)
+	ms.observeOp(ctx, ms.mLatDecide, "txn_decide", txnPhaseVerdict(out, err), "", start)
 	return out, err
 }
 
-// txnPhaseVerdict classifies a txn-phase reply for the slow-op trace:
+// txnPhaseVerdict classifies a txn-phase reply for its trace span:
 // "ok", "locked", or the reply status ("error" on transport failures).
 func txnPhaseVerdict(out []byte, err error) string {
 	if err != nil || out == nil {

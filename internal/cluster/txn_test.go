@@ -71,7 +71,7 @@ func TestTxnOrphanedPrepareResolvesToAbort(t *testing.T) {
 	}
 	defer partCl.Close()
 
-	if _, err := partCl.Increment(ctx, []byte("bal"), 100); err != nil {
+	if _, err := partCl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte("bal"), Delta: 100}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -96,7 +96,7 @@ func TestTxnOrphanedPrepareResolvesToAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer other.Close()
-	n, err := other.Increment(ctx, []byte("bal"), 5)
+	n, err := incr(ctx, other, "bal", 5)
 	if err != nil {
 		t.Fatalf("blocked increment never recovered: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestTxnResolutionAppliesCommit(t *testing.T) {
 	}
 	defer partCl.Close()
 
-	if _, err := partCl.Increment(ctx, []byte("bal"), 100); err != nil {
+	if _, err := partCl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte("bal"), Delta: 100}); err != nil {
 		t.Fatal(err)
 	}
 	txnID := homeCl.MintTxnID()
@@ -165,7 +165,7 @@ func TestTxnResolutionAppliesCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer other.Close()
-	n, err := other.Increment(ctx, []byte("bal"), 0)
+	n, err := incr(ctx, other, "bal", 0)
 	if err != nil {
 		t.Fatalf("blocked read-increment never recovered: %v", err)
 	}

@@ -168,6 +168,22 @@ type ClientStats struct {
 	InFlight uint64
 }
 
+// Add accumulates o into s, field by field (InFlight sums too: the depth
+// of several clients is the sum of their depths).
+func (s *ClientStats) Add(o ClientStats) {
+	s.FastPath += o.FastPath
+	s.SyncedByMaster += o.SyncedByMaster
+	s.SlowPath += o.SlowPath
+	s.Retries += o.Retries
+	s.BackupReads += o.BackupReads
+	s.MasterReads += o.MasterReads
+	s.Redirects += o.Redirects
+	s.TxnCommits += o.TxnCommits
+	s.TxnAborts += o.TxnAborts
+	s.TxnOrphanResolves += o.TxnOrphanResolves
+	s.InFlight += o.InFlight
+}
+
 // Client drives the CURP client protocol (paper §3.2.1): it sends each
 // update to the master and records it on all f witnesses in parallel,
 // completing in 1 RTT when the master executed speculatively and every

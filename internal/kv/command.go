@@ -153,12 +153,6 @@ type KV struct {
 	Value []byte
 }
 
-// IncrPair is one leg of an atomic multi-key increment.
-type IncrPair struct {
-	Key   []byte
-	Delta int64
-}
-
 // Command is one client operation on the store.
 type Command struct {
 	Op    CommandOp

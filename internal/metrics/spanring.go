@@ -2,9 +2,9 @@ package metrics
 
 import "sync"
 
-// WireSpan is one node-local observation inside a distributed trace. Like
-// the slow-op Span it carries hashes and verdicts, never payloads, so
-// traces are safe to export. IDs are uint64 (JSON-exact in Go's encoder);
+// WireSpan is one node-local observation inside a distributed trace. It
+// carries hashes and verdicts, never payloads, so traces are safe to
+// export. IDs are uint64 (JSON-exact in Go's encoder);
 // curpctl renders them as %016x.
 type WireSpan struct {
 	TraceID uint64 `json:"trace_id"`

@@ -57,9 +57,9 @@ const (
 // all once its partition shuts down; the client treats a hard error as a
 // re-route hint too, adopting a newer ring when the source has one.
 //
-// Cross-shard atomicity contract: MultiPut and MultiIncrement group their
-// keys by owning shard and issue one atomic per-shard sub-operation per
-// group, concurrently. Each sub-operation is atomic, linearizable, and
+// Cross-shard atomicity contract: multi-key commands (OpMultiPut,
+// OpMultiIncr) group their keys by owning shard and issue one atomic
+// per-shard sub-operation per group, concurrently. Each sub-operation is atomic, linearizable, and
 // exactly-once within its shard (RIFL filters duplicates across retries,
 // so a retried transfer never double-applies). Across shards there is NO
 // atomicity: a reader may observe one shard's sub-operation before
@@ -229,264 +229,79 @@ func (c *Client) Stats() core.ClientStats {
 	var total core.ClientStats
 	_, shards := c.snapshot()
 	for _, sc := range shards {
-		s := sc.Stats()
-		total.FastPath += s.FastPath
-		total.SyncedByMaster += s.SyncedByMaster
-		total.SlowPath += s.SlowPath
-		total.Retries += s.Retries
-		total.BackupReads += s.BackupReads
-		total.MasterReads += s.MasterReads
+		total.Add(sc.Stats())
 	}
 	return total
 }
 
 // Put writes value under key on its owning shard.
 func (c *Client) Put(ctx context.Context, key, value []byte) (uint64, error) {
-	var ver uint64
-	err := c.do(ctx, key, func(sc *cluster.Client) error {
-		v, err := sc.Put(ctx, key, value)
-		ver = v
-		return err
-	})
-	return ver, err
+	res, err := c.Submit(ctx, &kv.Command{Op: kv.OpPut, Key: key, Value: value})
+	if err != nil {
+		return 0, err
+	}
+	return res.Version, nil
 }
 
 // Get reads key at its shard's master (linearizable).
 func (c *Client) Get(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	err = c.do(ctx, key, func(sc *cluster.Client) error {
-		var gerr error
-		value, ok, gerr = sc.Get(ctx, key)
-		return gerr
-	})
-	return value, ok, err
-}
-
-// GetNearby reads key from one of its shard's backups when a witness
-// confirms safety (§A.1).
-func (c *Client) GetNearby(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	err = c.do(ctx, key, func(sc *cluster.Client) error {
-		var gerr error
-		value, ok, gerr = sc.GetNearby(ctx, key)
-		return gerr
-	})
-	return value, ok, err
-}
-
-// GetStale reads key's latest durable value at its shard (§A.3).
-func (c *Client) GetStale(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	err = c.do(ctx, key, func(sc *cluster.Client) error {
-		var gerr error
-		value, ok, gerr = sc.GetStale(ctx, key)
-		return gerr
-	})
-	return value, ok, err
-}
-
-// Delete removes key on its owning shard.
-func (c *Client) Delete(ctx context.Context, key []byte) error {
-	return c.do(ctx, key, func(sc *cluster.Client) error {
-		return sc.Delete(ctx, key)
-	})
-}
-
-// Increment atomically adds delta to the counter at key on its shard.
-func (c *Client) Increment(ctx context.Context, key []byte, delta int64) (int64, error) {
-	var n int64
-	err := c.do(ctx, key, func(sc *cluster.Client) error {
-		v, err := sc.Increment(ctx, key, delta)
-		n = v
-		return err
-	})
-	return n, err
-}
-
-// CondPut writes value only if key is at expectVersion on its shard.
-func (c *Client) CondPut(ctx context.Context, key, value []byte, expectVersion uint64) (applied bool, version uint64, err error) {
-	err = c.do(ctx, key, func(sc *cluster.Client) error {
-		var cerr error
-		applied, version, cerr = sc.CondPut(ctx, key, value, expectVersion)
-		return cerr
-	})
-	return applied, version, err
-}
-
-// Append atomically appends suffix to the value at key on its shard and
-// returns the value's new total length.
-func (c *Client) Append(ctx context.Context, key, suffix []byte) (int64, error) {
-	var n int64
-	err := c.do(ctx, key, func(sc *cluster.Client) error {
-		v, err := sc.Append(ctx, key, suffix)
-		n = v
-		return err
-	})
-	return n, err
-}
-
-// PutTTL writes value under key with an absolute UnixNano expiry on its
-// shard.
-func (c *Client) PutTTL(ctx context.Context, key, value []byte, expireAt int64) (uint64, error) {
-	var ver uint64
-	err := c.do(ctx, key, func(sc *cluster.Client) error {
-		v, err := sc.PutTTL(ctx, key, value, expireAt)
-		ver = v
-		return err
-	})
-	return ver, err
-}
-
-// SetAdd adds member to the set at key on its shard. Concurrent SetAdds on
-// one key commute and stay on the 1-RTT path.
-func (c *Client) SetAdd(ctx context.Context, key, member []byte) error {
-	return c.do(ctx, key, func(sc *cluster.Client) error {
-		return sc.SetAdd(ctx, key, member)
-	})
-}
-
-// SetRemove removes member from the set at key on its shard.
-func (c *Client) SetRemove(ctx context.Context, key, member []byte) error {
-	return c.do(ctx, key, func(sc *cluster.Client) error {
-		return sc.SetRemove(ctx, key, member)
-	})
-}
-
-// SetMembers reads the members of the set at key, sorted bytewise.
-func (c *Client) SetMembers(ctx context.Context, key []byte) ([][]byte, error) {
-	var members [][]byte
-	err := c.do(ctx, key, func(sc *cluster.Client) error {
-		m, err := sc.SetMembers(ctx, key)
-		members = m
-		return err
-	})
-	return members, err
-}
-
-// BucketTake takes n tokens from the rate-limiter bucket at key on its
-// shard.
-func (c *Client) BucketTake(ctx context.Context, key []byte, n int64) (granted bool, remaining int64, err error) {
-	err = c.do(ctx, key, func(sc *cluster.Client) error {
-		var berr error
-		granted, remaining, berr = sc.BucketTake(ctx, key, n)
-		return berr
-	})
-	return granted, remaining, err
-}
-
-// runGrouped partitions items by owning shard and issues one sub-operation
-// per group, concurrently. Groups bounced by a migration (core.ErrKeyMoved)
-// are re-grouped under a refreshed ring and re-issued; groups that applied
-// are never re-sent, preserving per-shard exactly-once across a rebalance.
-func runGrouped[T any](ctx context.Context, c *Client, items []T, keyOf func(T) []byte, issue func(sc *cluster.Client, group []T) error) error {
-	remaining := items
-	var deadline time.Time
-	for attempt := 0; ; attempt++ {
-		ring, shards := c.snapshot()
-		groups := make(map[int][]T)
-		for _, it := range remaining {
-			s := ring.Shard(keyOf(it))
-			groups[s] = append(groups[s], it)
-		}
-		var wg sync.WaitGroup
-		var gmu sync.Mutex
-		var moved, hardItems []T
-		var hard []error
-		for s, g := range groups {
-			wg.Add(1)
-			go func(s int, g []T) {
-				defer wg.Done()
-				err := issue(shards[s], g)
-				if err == nil {
-					return
-				}
-				gmu.Lock()
-				defer gmu.Unlock()
-				if errors.Is(err, core.ErrKeyMoved) {
-					moved = append(moved, g...)
-				} else {
-					hard = append(hard, fmt.Errorf("shard %d: %w", s, err))
-					hardItems = append(hardItems, g...)
-				}
-			}(s, g)
-		}
-		wg.Wait()
-		if len(hard) > 0 {
-			// Same as Client.do: a shard retired by RemoveShard answers
-			// with connection errors, not redirects. Re-route under a
-			// newer ring before surfacing the failure; the retired master
-			// bounced (never executed) its moved ranges from the freeze
-			// onward, so re-issuing the failed groups is not a duplicate.
-			if !c.refreshRing() {
-				return errors.Join(hard...)
-			}
-			remaining = append(moved, hardItems...)
-			continue
-		}
-		if len(moved) == 0 {
-			return nil
-		}
-		if deadline.IsZero() {
-			deadline = time.Now().Add(maxRedirectWait)
-		} else if time.Now().After(deadline) {
-			return fmt.Errorf("shard: %d items still moving after %v (%d redirects): %w", len(moved), maxRedirectWait, attempt, core.ErrKeyMoved)
-		}
-		if !c.refreshRing() {
-			if perr := pauseRedirect(ctx, attempt); perr != nil {
-				return perr
-			}
-		}
-		remaining = moved
-	}
-}
-
-// MultiPut writes the pairs, atomically per shard (see the cross-shard
-// contract in the Client doc). Pairs owned by one shard form a single
-// atomic MultiPut there; the per-shard sub-operations run concurrently.
-// Sub-operations bounced by a migration are re-grouped under the new ring
-// and re-issued; already-applied groups are never re-sent.
-func (c *Client) MultiPut(ctx context.Context, pairs []kv.KV) error {
-	return runGrouped(ctx, c, pairs,
-		func(p kv.KV) []byte { return p.Key },
-		func(sc *cluster.Client, group []kv.KV) error {
-			return sc.MultiPut(ctx, group)
-		})
-}
-
-// MultiIncrement adds each delta to its key's counter, atomically and
-// exactly-once per shard (see the cross-shard contract in the Client doc),
-// and returns the new counter values aligned with deltas. The per-shard
-// sub-operations run concurrently; sub-operations bounced by a migration
-// are re-grouped under the new ring and re-issued, and applied groups are
-// never re-sent (no double increments across a rebalance).
-func (c *Client) MultiIncrement(ctx context.Context, deltas []kv.IncrPair) ([]int64, error) {
-	out := make([]int64, len(deltas))
-	var outMu sync.Mutex
-	type item struct {
-		pair kv.IncrPair
-		idx  int
-	}
-	items := make([]item, len(deltas))
-	for i, d := range deltas {
-		items[i] = item{pair: d, idx: i}
-	}
-	err := runGrouped(ctx, c, items,
-		func(it item) []byte { return it.pair.Key },
-		func(sc *cluster.Client, group []item) error {
-			pairs := make([]kv.IncrPair, len(group))
-			for i, it := range group {
-				pairs[i] = it.pair
-			}
-			vals, err := sc.MultiIncrement(ctx, pairs)
-			if err != nil {
-				return err
-			}
-			outMu.Lock()
-			for i, it := range group {
-				out[it.idx] = vals[i]
-			}
-			outMu.Unlock()
-			return nil
-		})
+	res, err := c.Read(ctx, &kv.Command{Op: kv.OpGet, Key: key})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return out, nil
+	return res.Value, res.Found, nil
+}
+
+// Submit executes one kv update command. A single-key command runs on its
+// key's owning shard with that shard's full guarantees. A multi-key
+// command (OpMultiPut, OpMultiIncr) splits into one shard-atomic
+// sub-command per owning shard, issued concurrently; see the cross-shard
+// contract in the Client doc. An OpMultiIncr result's Values are aligned
+// with cmd.Pairs.
+func (c *Client) Submit(ctx context.Context, cmd *kv.Command) (res *kv.Result, err error) {
+	if multiKey(cmd) {
+		// A one-op pipeline flush: the pipeline owns the split, the
+		// regrouping after redirects, and the never-re-send rule. The copy
+		// keeps cmd itself off the heap for single-key callers.
+		p := c.NewPipeline()
+		f := p.Queue(&kv.Command{Op: cmd.Op, Pairs: cmd.Pairs})
+		_ = p.Flush(ctx) // resolves f with the op's own outcome
+		<-f.done
+		return f.res, f.err
+	}
+	err = c.do(ctx, cmd.Key, func(sc *cluster.Client) (err error) {
+		res, err = sc.Submit(ctx, cmd)
+		return err
+	})
+	return res, err
+}
+
+// Read executes a read-only command at its key's shard master
+// (linearizable).
+func (c *Client) Read(ctx context.Context, cmd *kv.Command) (res *kv.Result, err error) {
+	err = c.do(ctx, cmd.Key, func(sc *cluster.Client) (err error) {
+		res, err = sc.Read(ctx, cmd)
+		return err
+	})
+	return res, err
+}
+
+// ReadNearby executes a read-only command at one of its shard's backups
+// when a witness confirms safety (§A.1).
+func (c *Client) ReadNearby(ctx context.Context, cmd *kv.Command) (res *kv.Result, err error) {
+	err = c.do(ctx, cmd.Key, func(sc *cluster.Client) (err error) {
+		res, err = sc.ReadNearby(ctx, cmd)
+		return err
+	})
+	return res, err
+}
+
+// ReadStale executes a read-only command against its shard's latest
+// durable state (§A.3).
+func (c *Client) ReadStale(ctx context.Context, cmd *kv.Command) (res *kv.Result, err error) {
+	err = c.do(ctx, cmd.Key, func(sc *cluster.Client) (err error) {
+		res, err = sc.ReadStale(ctx, cmd)
+		return err
+	})
+	return res, err
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"curp/internal/kv"
 )
 
 // movingKeys returns test keys that change owner when cur grows one shard,
@@ -56,7 +58,7 @@ func TestLiveMigrationMovesKeys(t *testing.T) {
 	counter := allMoving[0] + "/counter"
 	ctrShard := c.CurrentRing().ShardString(counter)
 	for i := 0; i < 5; i++ {
-		if _, err := cl.Increment(ctx, []byte(counter), 1); err != nil {
+		if _, err := cl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte(counter), Delta: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,19 +104,20 @@ func TestLiveMigrationMovesKeys(t *testing.T) {
 	// stale read (whose redirect is a distinct code path) and the §A.1
 	// nearby read (whose backup replica is fenced at the source).
 	for _, key := range allMoving[:3] {
-		if v, ok, err := cl.GetStale(ctx, []byte(key)); err != nil || !ok || string(v) != "v2-"+key {
-			t.Fatalf("GetStale %q after rebalance: %v %v %q", key, err, ok, v)
+		get := &kv.Command{Op: kv.OpGet, Key: []byte(key)}
+		if res, err := cl.ReadStale(ctx, get); err != nil || !res.Found || string(res.Value) != "v2-"+key {
+			t.Fatalf("ReadStale %q after rebalance: %v %+v", key, err, res)
 		}
-		if v, ok, err := cl.GetNearby(ctx, []byte(key)); err != nil || !ok || string(v) != "v2-"+key {
-			t.Fatalf("GetNearby %q after rebalance: %v %v %q", key, err, ok, v)
+		if res, err := cl.ReadNearby(ctx, get); err != nil || !res.Found || string(res.Value) != "v2-"+key {
+			t.Fatalf("ReadNearby %q after rebalance: %v %+v", key, err, res)
 		}
 	}
 
 	// Versions migrated: a conditional write against the pre-migration
 	// version succeeds on the new owner.
-	applied, ver, err := cl.CondPut(ctx, []byte(allMoving[0]), []byte("v3"), 2)
-	if err != nil || !applied || ver != 3 {
-		t.Fatalf("CondPut across migration: applied=%v ver=%d err=%v", applied, ver, err)
+	res, err := cl.Submit(ctx, &kv.Command{Op: kv.OpCondPut, Key: []byte(allMoving[0]), Value: []byte("v3"), ExpectVersion: 2})
+	if err != nil || !res.Found || res.Version != 3 {
+		t.Fatalf("CondPut across migration: %+v err=%v", res, err)
 	}
 
 	// Counters keep counting exactly-once across the handoff.
@@ -122,11 +125,11 @@ func TestLiveMigrationMovesKeys(t *testing.T) {
 		t.Logf("counter %q moved %d→%d", counter, ctrShard, ring.ShardString(counter))
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := cl.Increment(ctx, []byte(counter), 1); err != nil {
+		if _, err := cl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte(counter), Delta: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n, err := cl.Increment(ctx, []byte(counter), 0); err != nil || n != 10 {
+	if n, err := incr(ctx, cl, []byte(counter), 0); err != nil || n != 10 {
 		t.Fatalf("counter after migration = %d, %v, want 10", n, err)
 	}
 
@@ -425,7 +428,7 @@ func TestRemoveShardDrainsKeys(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := cl.Increment(ctx, []byte(counter), 1); err != nil {
+		if _, err := cl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte(counter), Delta: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -439,6 +442,27 @@ func TestRemoveShardDrainsKeys(t *testing.T) {
 	}
 	if n := c.NumShards(); n != 3 {
 		t.Fatalf("NumShards after drain = %d, want 3", n)
+	}
+
+	// A pipeline on the pre-drain client re-routes like a blocking op:
+	// its first flush reaches the retired shard, whose hosts are gone,
+	// and the source's newer ring sends the Puts to the survivors.
+	pipeMoving, _ := shrinkingKeys(t, cur, "drainpipe", 8)
+	p := cl.NewPipeline()
+	var pipeKeys []string
+	for _, keys := range pipeMoving {
+		for _, key := range keys {
+			p.Put([]byte(key), []byte("p-"+key))
+			pipeKeys = append(pipeKeys, key)
+		}
+	}
+	if err := p.Flush(ctx); err != nil {
+		t.Fatalf("pipeline flush after drain: %v", err)
+	}
+	for _, key := range pipeKeys {
+		if v, ok, err := cl.Get(ctx, []byte(key)); err != nil || !ok || string(v) != "p-"+key {
+			t.Fatalf("pipelined put %q after drain: %v %v %q", key, err, ok, v)
+		}
 	}
 
 	// The pre-drain client reads every key back (bounced operations
@@ -465,18 +489,18 @@ func TestRemoveShardDrainsKeys(t *testing.T) {
 
 	// Versions migrated: a conditional write against the pre-drain
 	// version succeeds on the new owner.
-	applied, ver, err := cl.CondPut(ctx, []byte(allMoving[0]), []byte("v3"), 2)
-	if err != nil || !applied || ver != 3 {
-		t.Fatalf("CondPut across drain: applied=%v ver=%d err=%v", applied, ver, err)
+	res, err := cl.Submit(ctx, &kv.Command{Op: kv.OpCondPut, Key: []byte(allMoving[0]), Value: []byte("v3"), ExpectVersion: 2})
+	if err != nil || !res.Found || res.Version != 3 {
+		t.Fatalf("CondPut across drain: %+v err=%v", res, err)
 	}
 
 	// The counter keeps counting exactly-once on its survivor.
 	for i := 0; i < 5; i++ {
-		if _, err := cl.Increment(ctx, []byte(counter), 1); err != nil {
+		if _, err := cl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte(counter), Delta: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n, err := cl.Increment(ctx, []byte(counter), 0); err != nil || n != 10 {
+	if n, err := incr(ctx, cl, []byte(counter), 0); err != nil || n != 10 {
 		t.Fatalf("counter after drain = %d, %v, want 10", n, err)
 	}
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"curp/internal/cluster"
@@ -45,18 +44,14 @@ func (f *Future) Wait(ctx context.Context) (*kv.Result, error) {
 	}
 }
 
-// submitAsync runs one single-key command asynchronously with the same
-// redirect handling as the blocking verbs: a bounced command refreshes the
-// ring and re-issues against the new owner.
-func (c *Client) submitAsync(ctx context.Context, key []byte, cmd *kv.Command) *Future {
+// SubmitAsync runs Submit without blocking: the future resolves with the
+// command's result once it is durable on its owning shard(s), after any
+// redirects.
+func (c *Client) SubmitAsync(ctx context.Context, cmd *kv.Command) *Future {
 	f := newFuture()
+	own := *cmd // outlives the caller's frame; cmd itself may stay on its stack
 	go func() {
-		var res *kv.Result
-		err := c.do(ctx, key, func(sc *cluster.Client) error {
-			r, err := sc.Submit(ctx, cmd)
-			res = r
-			return err
-		})
+		res, err := c.Submit(ctx, &own)
 		if err != nil {
 			f.fail(err)
 			return
@@ -66,127 +61,25 @@ func (c *Client) submitAsync(ctx context.Context, key []byte, cmd *kv.Command) *
 	return f
 }
 
-// PutAsync writes value under key on its owning shard without blocking.
-func (c *Client) PutAsync(ctx context.Context, key, value []byte) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpPut, Key: key, Value: value})
+// multiKey reports whether cmd is split per owning shard: its legs are
+// cmd.Pairs, and each shard receives the subset it owns.
+func multiKey(cmd *kv.Command) bool {
+	return cmd.Op == kv.OpMultiPut || cmd.Op == kv.OpMultiIncr
 }
 
-// DeleteAsync removes key on its owning shard without blocking.
-func (c *Client) DeleteAsync(ctx context.Context, key []byte) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpDelete, Key: key})
-}
-
-// IncrementAsync adds delta to the counter at key without blocking.
-func (c *Client) IncrementAsync(ctx context.Context, key []byte, delta int64) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpIncrement, Key: key, Delta: delta})
-}
-
-// CondPutAsync conditionally writes value at expectVersion without
-// blocking.
-func (c *Client) CondPutAsync(ctx context.Context, key, value []byte, expectVersion uint64) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpCondPut, Key: key, Value: value, ExpectVersion: expectVersion})
-}
-
-// AppendAsync appends suffix to the value at key without blocking; the
-// future's counter result is the value's new total length.
-func (c *Client) AppendAsync(ctx context.Context, key, suffix []byte) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpAppend, Key: key, Value: suffix})
-}
-
-// PutTTLAsync writes value under key with an absolute UnixNano expiry
-// without blocking.
-func (c *Client) PutTTLAsync(ctx context.Context, key, value []byte, expireAt int64) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpPut, Key: key, Value: value, ExpireAt: expireAt})
-}
-
-// SetAddAsync adds member to the set at key without blocking.
-func (c *Client) SetAddAsync(ctx context.Context, key, member []byte) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpSetAdd, Key: key, Value: member})
-}
-
-// SetRemoveAsync removes member from the set at key without blocking.
-func (c *Client) SetRemoveAsync(ctx context.Context, key, member []byte) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpSetRemove, Key: key, Value: member})
-}
-
-// BucketTakeAsync takes n tokens from the bucket at key without blocking;
-// the future's Granted reports whether the tokens were available.
-func (c *Client) BucketTakeAsync(ctx context.Context, key []byte, n int64) *Future {
-	return c.submitAsync(ctx, key, &kv.Command{Op: kv.OpBucketTake, Key: key, Delta: n})
-}
-
-// MultiPutAsync writes the pairs without blocking — atomic per shard, not
-// across shards (the blocking MultiPut's contract).
-func (c *Client) MultiPutAsync(ctx context.Context, pairs []kv.KV) *Future {
-	f := newFuture()
-	go func() {
-		if err := c.MultiPut(ctx, pairs); err != nil {
-			f.fail(err)
-			return
-		}
-		f.complete(&kv.Result{})
-	}()
-	return f
-}
-
-// MultiIncrementAsync applies the deltas without blocking — atomic and
-// exactly-once per shard, independent across shards. The future's result
-// Values carry the new counter values in decimal, aligned with deltas.
-func (c *Client) MultiIncrementAsync(ctx context.Context, deltas []kv.IncrPair) *Future {
-	f := newFuture()
-	go func() {
-		vals, err := c.MultiIncrement(ctx, deltas)
-		if err != nil {
-			f.fail(err)
-			return
-		}
-		f.complete(&kv.Result{Values: encodeCounters(vals)})
-	}()
-	return f
-}
-
-func encodeCounters(vals []int64) [][]byte {
-	out := make([][]byte, len(vals))
-	for i, v := range vals {
-		out[i] = []byte(strconv.FormatInt(v, 10))
-	}
-	return out
-}
-
-// pipeOp is one queued pipeline operation. Single-key operations carry
-// their command directly; multi-key operations carry legs that are
+// pipeOp is one queued pipeline operation. A multi-key command's legs are
 // regrouped by owning shard at every flush attempt (a rebalance between
-// attempts may move legs between shards).
+// attempts may move legs between shards); a single-key command is its own
+// one leg.
 type pipeOp struct {
-	fut *Future
-	op  kv.CommandOp
-
-	// Single-key operations.
-	key []byte
-	cmd *kv.Command
-
-	// Multi-key operations: exactly one of pairs/incrs is set; legDone and
-	// legVal are per leg.
-	pairs       []kv.KV
-	incrs       []kv.IncrPair
-	legDone     []bool
-	legVal      [][]byte
-	outstanding int
+	fut         *Future
+	cmd         *kv.Command
+	outstanding int // legs not yet applied
 	failed      error
-}
 
-func (op *pipeOp) legKey(i int) []byte {
-	if op.pairs != nil {
-		return op.pairs[i].Key
-	}
-	return op.incrs[i].Key
-}
-
-func (op *pipeOp) legs() int {
-	if op.pairs != nil {
-		return len(op.pairs)
-	}
-	return len(op.incrs)
+	// Multi-key commands only: per-leg completion and OpMultiIncr values.
+	legDone []bool
+	legVal  [][]byte
 }
 
 // Pipeline queues update operations against a sharded deployment and
@@ -218,14 +111,18 @@ func (c *Client) NewPipeline() *Pipeline { return &Pipeline{c: c} }
 // Len reports how many operations are queued and unflushed.
 func (p *Pipeline) Len() int { return len(p.ops) }
 
-func (p *Pipeline) enqueue(op *pipeOp) *Future {
-	op.fut = newFuture()
-	if op.cmd != nil {
-		op.outstanding = 1
-	} else {
-		op.outstanding = op.legs()
-		op.legDone = make([]bool, op.legs())
-		op.legVal = make([][]byte, op.legs())
+// Queue appends one kv update command to the pipeline. A multi-key
+// command is atomic per shard, not across shards.
+func (p *Pipeline) Queue(cmd *kv.Command) *Future {
+	op := &pipeOp{fut: newFuture(), cmd: cmd, outstanding: 1}
+	if multiKey(cmd) {
+		if len(cmd.Pairs) == 0 {
+			op.fut.complete(&kv.Result{})
+			return op.fut
+		}
+		op.outstanding = len(cmd.Pairs)
+		op.legDone = make([]bool, len(cmd.Pairs))
+		op.legVal = make([][]byte, len(cmd.Pairs))
 	}
 	p.ops = append(p.ops, op)
 	return op.fut
@@ -233,58 +130,12 @@ func (p *Pipeline) enqueue(op *pipeOp) *Future {
 
 // Put queues a write of value under key.
 func (p *Pipeline) Put(key, value []byte) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpPut, key: key, cmd: &kv.Command{Op: kv.OpPut, Key: key, Value: value}})
-}
-
-// Delete queues a removal of key.
-func (p *Pipeline) Delete(key []byte) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpDelete, key: key, cmd: &kv.Command{Op: kv.OpDelete, Key: key}})
+	return p.Queue(&kv.Command{Op: kv.OpPut, Key: key, Value: value})
 }
 
 // Increment queues adding delta to the counter at key.
 func (p *Pipeline) Increment(key []byte, delta int64) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpIncrement, key: key, cmd: &kv.Command{Op: kv.OpIncrement, Key: key, Delta: delta}})
-}
-
-// CondPut queues a conditional write of value at expectVersion.
-func (p *Pipeline) CondPut(key, value []byte, expectVersion uint64) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpCondPut, key: key, cmd: &kv.Command{Op: kv.OpCondPut, Key: key, Value: value, ExpectVersion: expectVersion}})
-}
-
-// Append queues appending suffix to the value at key.
-func (p *Pipeline) Append(key, suffix []byte) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpAppend, key: key, cmd: &kv.Command{Op: kv.OpAppend, Key: key, Value: suffix}})
-}
-
-// PutTTL queues a write of value under key with an absolute UnixNano
-// expiry.
-func (p *Pipeline) PutTTL(key, value []byte, expireAt int64) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpPut, key: key, cmd: &kv.Command{Op: kv.OpPut, Key: key, Value: value, ExpireAt: expireAt}})
-}
-
-// SetAdd queues adding member to the set at key.
-func (p *Pipeline) SetAdd(key, member []byte) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpSetAdd, key: key, cmd: &kv.Command{Op: kv.OpSetAdd, Key: key, Value: member}})
-}
-
-// SetRemove queues removing member from the set at key.
-func (p *Pipeline) SetRemove(key, member []byte) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpSetRemove, key: key, cmd: &kv.Command{Op: kv.OpSetRemove, Key: key, Value: member}})
-}
-
-// BucketTake queues taking n tokens from the bucket at key.
-func (p *Pipeline) BucketTake(key []byte, n int64) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpBucketTake, key: key, cmd: &kv.Command{Op: kv.OpBucketTake, Key: key, Delta: n}})
-}
-
-// MultiPut queues an atomic-per-shard multi-object write.
-func (p *Pipeline) MultiPut(pairs []kv.KV) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpMultiPut, pairs: pairs})
-}
-
-// MultiIncrement queues an atomic-per-shard multi-counter increment.
-func (p *Pipeline) MultiIncrement(deltas []kv.IncrPair) *Future {
-	return p.enqueue(&pipeOp{op: kv.OpMultiIncr, incrs: deltas})
+	return p.Queue(&kv.Command{Op: kv.OpIncrement, Key: key, Delta: delta})
 }
 
 // segment is the part of one operation going to one shard in one flush
@@ -296,20 +147,11 @@ type segment struct {
 	cmd     *kv.Command
 }
 
-// buildCmd materializes the segment's shard-atomic sub-command.
+// buildCmd materializes a multi-key segment's shard-atomic sub-command.
 func (s *segment) buildCmd() {
-	if s.op.cmd != nil {
-		s.cmd = s.op.cmd
-		return
-	}
-	cmd := &kv.Command{Op: s.op.op}
+	cmd := &kv.Command{Op: s.op.cmd.Op}
 	for _, i := range s.legIdxs {
-		if s.op.pairs != nil {
-			cmd.Pairs = append(cmd.Pairs, s.op.pairs[i])
-		} else {
-			d := s.op.incrs[i]
-			cmd.Pairs = append(cmd.Pairs, kv.KV{Key: d.Key, Value: []byte(strconv.FormatInt(d.Delta, 10))})
-		}
+		cmd.Pairs = append(cmd.Pairs, s.op.cmd.Pairs[i])
 	}
 	s.cmd = cmd
 }
@@ -318,7 +160,7 @@ func (s *segment) buildCmd() {
 // completes the future when the operation has no outstanding work left.
 func (s *segment) credit(res *kv.Result) {
 	op := s.op
-	if op.cmd != nil {
+	if op.legDone == nil {
 		op.outstanding = 0
 		op.fut.complete(res)
 		return
@@ -329,12 +171,12 @@ func (s *segment) credit(res *kv.Result) {
 		}
 		op.legDone[i] = true
 		op.outstanding--
-		if op.incrs != nil && j < len(res.Values) {
+		if op.cmd.Op == kv.OpMultiIncr && j < len(res.Values) {
 			op.legVal[i] = res.Values[j]
 		}
 	}
 	if op.outstanding == 0 && op.failed == nil {
-		if op.incrs != nil {
+		if op.cmd.Op == kv.OpMultiIncr {
 			op.fut.complete(&kv.Result{Values: op.legVal})
 		} else {
 			op.fut.complete(&kv.Result{})
@@ -347,6 +189,11 @@ func (s *segment) credit(res *kv.Result) {
 // on the futures; Flush returns the join of all failures. The queue is
 // empty afterwards, so the pipeline can be reused; operations queued
 // after a Flush are ordered after the flushed ones.
+//
+// Redirects and retired shards follow Client.do's rules: bounced
+// segments regroup under a refreshed ring (waiting out a mid-transfer
+// range), and a hard error re-routes only when the ring source has a
+// newer ring; otherwise it is the operation's outcome.
 func (p *Pipeline) Flush(ctx context.Context) error {
 	ops := p.ops
 	p.ops = nil
@@ -366,18 +213,18 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 			if op.failed != nil || op.outstanding == 0 {
 				continue
 			}
-			if op.cmd != nil {
-				s := ring.Shard(op.key)
+			if op.legDone == nil {
+				s := ring.Shard(op.cmd.Key)
 				shardSegs[s] = append(shardSegs[s], &segment{op: op, cmd: op.cmd})
 				pending++
 				continue
 			}
 			segByShard := make(map[int]*segment)
-			for i := 0; i < op.legs(); i++ {
+			for i, leg := range op.cmd.Pairs {
 				if op.legDone[i] {
 					continue
 				}
-				s := ring.Shard(op.legKey(i))
+				s := ring.Shard(leg.Key)
 				seg := segByShard[s]
 				if seg == nil {
 					seg = &segment{op: op}
@@ -415,6 +262,11 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 
 		// Gather.
 		movedAny := false
+		type hardErr struct {
+			op  *pipeOp
+			err error
+		}
+		var hard []hardErr
 		for _, iss := range all {
 			res, err := iss.fut.Wait(ctx)
 			switch {
@@ -423,8 +275,21 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 			case errors.Is(err, core.ErrKeyMoved):
 				movedAny = true // segment's legs stay outstanding; regroup
 			default:
-				if iss.seg.op.failed == nil {
-					iss.seg.op.failed = err
+				hard = append(hard, hardErr{iss.seg.op, err})
+			}
+		}
+		if len(hard) > 0 {
+			// As in Client.do: a shard retired by RemoveShard answers with
+			// connection errors, not redirects. Under a newer ring the
+			// failed segments stay outstanding and regroup — the retired
+			// master bounced (never executed) its moved ranges from the
+			// freeze onward. Without one the failures are real.
+			if p.c.refreshRing() {
+				continue
+			}
+			for _, h := range hard {
+				if h.op.failed == nil {
+					h.op.failed = h.err
 				}
 			}
 		}
@@ -468,7 +333,7 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 		}
 		if op.failed != nil {
 			op.fut.fail(op.failed)
-			errs = append(errs, fmt.Errorf("op %d (%v): %w", i, op.op, op.failed))
+			errs = append(errs, fmt.Errorf("op %d (%v): %w", i, op.cmd.Op, op.failed))
 		}
 	}
 	return errors.Join(errs...)

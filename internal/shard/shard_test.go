@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"curp/internal/cluster"
 	"curp/internal/kv"
 	"curp/internal/transport"
 )
@@ -36,6 +37,23 @@ func testClient(t *testing.T, c *Cluster, name string) *Client {
 	}
 	t.Cleanup(cl.Close)
 	return cl
+}
+
+// incr submits an Increment and returns the counter's new value.
+func incr(ctx context.Context, cl *Client, key []byte, delta int64) (int64, error) {
+	res, err := cl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: key, Delta: delta})
+	if err != nil {
+		return 0, err
+	}
+	return cluster.ParseCounter(res)
+}
+
+// counters decodes a MultiIncr outcome into the new counter values.
+func counters(res *kv.Result, err error) ([]int64, error) {
+	if err != nil {
+		return nil, err
+	}
+	return cluster.ParseCounters(res)
 }
 
 // TestShardedRoutingStable: every key routes to the shard the ring names,
@@ -117,12 +135,12 @@ func TestCrossShardMultiIncrement(t *testing.T) {
 	ctx := context.Background()
 
 	keys := pickKeysOnDistinctShards(t, c.CurrentRing(), 3, 0)
-	deltas := []kv.IncrPair{
-		{Key: keys[0], Delta: 100},
-		{Key: keys[1], Delta: -40},
-		{Key: keys[2], Delta: 7},
-	}
-	vals, err := cl.MultiIncrement(ctx, deltas)
+	transfer := &kv.Command{Op: kv.OpMultiIncr, Pairs: []kv.KV{
+		{Key: keys[0], Value: []byte("100")},
+		{Key: keys[1], Value: []byte("-40")},
+		{Key: keys[2], Value: []byte("7")},
+	}}
+	vals, err := counters(cl.Submit(ctx, transfer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +150,7 @@ func TestCrossShardMultiIncrement(t *testing.T) {
 	// Repeat: each application is exactly-once, so totals accumulate by
 	// exactly one delta per call.
 	for round := 2; round <= 5; round++ {
-		vals, err = cl.MultiIncrement(ctx, deltas)
+		vals, err = counters(cl.Submit(ctx, transfer))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +159,7 @@ func TestCrossShardMultiIncrement(t *testing.T) {
 		}
 	}
 	for i, key := range keys {
-		n, err := cl.Increment(ctx, key, 0)
+		n, err := incr(ctx, cl, key, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,13 +181,13 @@ func TestMultiIncrementExactlyOnceUnderRetries(t *testing.T) {
 
 	const crashed = 2
 	keys := pickKeysOnDistinctShards(t, c.CurrentRing(), 3, crashed)
-	deltas := []kv.IncrPair{
-		{Key: keys[0], Delta: 10}, // on the shard that will crash
-		{Key: keys[1], Delta: 20},
-		{Key: keys[2], Delta: 30},
-	}
+	transfer := &kv.Command{Op: kv.OpMultiIncr, Pairs: []kv.KV{
+		{Key: keys[0], Value: []byte("10")}, // on the shard that will crash
+		{Key: keys[1], Value: []byte("20")},
+		{Key: keys[2], Value: []byte("30")},
+	}}
 	// Seed the counters so recovery must also preserve completed writes.
-	if _, err := cl.MultiIncrement(ctx, deltas); err != nil {
+	if _, err := cl.Submit(ctx, transfer); err != nil {
 		t.Fatal(err)
 	}
 
@@ -184,7 +202,7 @@ func TestMultiIncrementExactlyOnceUnderRetries(t *testing.T) {
 
 	cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	vals, err := cl.MultiIncrement(cctx, deltas)
+	vals, err := counters(cl.Submit(cctx, transfer))
 	if err != nil {
 		t.Fatalf("transfer across crash: %v", err)
 	}
@@ -199,7 +217,7 @@ func TestMultiIncrementExactlyOnceUnderRetries(t *testing.T) {
 	}
 	// One more transfer confirms the replayed/retried legs were not
 	// double-applied anywhere.
-	vals, err = cl.MultiIncrement(ctx, deltas)
+	vals, err = counters(cl.Submit(ctx, transfer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +305,11 @@ func TestCrossShardMultiPut(t *testing.T) {
 			Value: []byte(fmt.Sprintf("val-%d", i)),
 		})
 	}
-	if err := cl.MultiPut(ctx, pairs); err != nil {
+	if _, err := cl.Submit(ctx, &kv.Command{Op: kv.OpMultiPut, Pairs: pairs}); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := cl.Submit(ctx, &kv.Command{Op: kv.OpMultiPut}); err != nil {
+		t.Fatalf("empty multi-put: %v", err)
 	}
 	for _, p := range pairs {
 		v, ok, err := cl.Get(ctx, p.Key)

@@ -26,13 +26,7 @@ func (b shardTxnBackend) ShardOf(key []byte) int { return b.c.ShardFor(key) }
 func (b shardTxnBackend) Refresh() bool          { return b.c.refreshRing() }
 
 func (b shardTxnBackend) GetVersioned(ctx context.Context, key []byte) (*kv.Result, error) {
-	var res *kv.Result
-	err := b.c.do(ctx, key, func(sc *cluster.Client) error {
-		r, err := sc.GetVersioned(ctx, key)
-		res = r
-		return err
-	})
-	return res, err
+	return b.c.Read(ctx, &kv.Command{Op: kv.OpGet, Key: key})
 }
 
 func (b shardTxnBackend) Apply(ctx context.Context, shard int, t *kv.TxnCommand) (*kv.Result, error) {

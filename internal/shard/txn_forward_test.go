@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"curp/internal/cluster"
 	"curp/internal/kv"
 	"curp/internal/witness"
 )
@@ -62,7 +63,7 @@ func TestTxnDecisionLookupFollowsMigratedHome(t *testing.T) {
 	}
 	defer partCl.Close()
 
-	if _, err := partCl.Increment(ctx, []byte(balKey), 100); err != nil {
+	if _, err := partCl.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte(balKey), Delta: 100}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -109,11 +110,11 @@ func TestTxnDecisionLookupFollowsMigratedHome(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bystander.Close()
-	n, err := bystander.Increment(ctx, []byte(balKey), 5)
+	res, err = bystander.Submit(ctx, &kv.Command{Op: kv.OpIncrement, Key: []byte(balKey), Delta: 5})
 	if err != nil {
 		t.Fatalf("blocked increment never recovered: %v", err)
 	}
-	if n != 105 {
+	if n, _ := cluster.ParseCounter(res); n != 105 {
 		t.Fatalf("bal = %d, want 105 (orphaned -10 must NOT apply)", n)
 	}
 	if got := c.Part(partShard).Master.Store().LockCount(); got != 0 {

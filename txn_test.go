@@ -161,6 +161,11 @@ func TestTxnCrossShard(t *testing.T) {
 	if v, _, _ := cl.Get(ctx, keys[2]); string(v) != "receipt" {
 		t.Fatalf("abort leaked to keys[2]: %q", v)
 	}
+
+	// Both outcomes reach the client's counters, summed over its shards.
+	if st := cl.Stats(); st.TxnCommits != 1 || st.TxnAborts != 1 {
+		t.Fatalf("stats: %d commits, %d aborts; want 1 and 1", st.TxnCommits, st.TxnAborts)
+	}
 }
 
 // TestTxnSingleShardFastPath asserts the RPC-economy claim: a
